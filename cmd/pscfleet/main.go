@@ -25,6 +25,7 @@ import (
 	"syscall"
 	"time"
 
+	"psclock/internal/detector"
 	"psclock/internal/fleet"
 	"psclock/internal/live"
 	"psclock/internal/register"
@@ -205,7 +206,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		nodes: *nodes, registers: *registers, tiersSpec: *tiers,
 		clients: nClients, seed: *seed, wall: wall,
 		eps: eps, d1: sim(*d1F), d2: d2,
-		detPeriod: sim(*detPeriod), checkShards: *checkShards,
+		det: plane.Detector(), checkShards: *checkShards,
 		script: script, outcomes: outcomes,
 		res: res, stats: stats, verdict: verdict,
 		crashes: plane.Crashes(),
@@ -232,7 +233,7 @@ type reportInputs struct {
 	seed             int64
 	wall             time.Duration
 	eps, d1, d2      simtime.Duration
-	detPeriod        simtime.Duration
+	det              detector.Params
 	checkShards      int
 	script           fleet.Script
 	outcomes         []fleet.ChaosOutcome
@@ -294,7 +295,8 @@ func buildReport(in reportInputs) *fleet.Report {
 		EpsMeasuredUS: us(epsHat),
 		D1ConfigUS:    us(in.d1),
 		D2ConfigUS:    us(in.d2),
-		DetPeriodUS:   us(in.detPeriod),
+		DetPeriodUS:   us(in.det.Period),
+		DetTimeoutUS:  us(in.det.Timeout),
 
 		Messages:        in.stats.Messages,
 		Held:            in.stats.Held,

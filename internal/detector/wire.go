@@ -1,9 +1,19 @@
 package detector
 
-import "encoding/gob"
+import (
+	"encoding/binary"
+	"io"
 
-// Register the heartbeat body so the live runtime's TCP transport can
-// gob-encode it as an interface value (see internal/register/wire.go).
+	"psclock/internal/core"
+)
+
+// Register the heartbeat body's codec with the live transports (see
+// internal/register/wire.go): its sequence number as one signed varint.
 func init() {
-	gob.Register(heartbeat{})
+	core.RegisterBody(3,
+		func(dst []byte, h heartbeat) []byte { return binary.AppendVarint(dst, int64(h.Seq)) },
+		func(r io.ByteReader) (heartbeat, error) {
+			seq, err := binary.ReadVarint(r)
+			return heartbeat{Seq: int(seq)}, err
+		})
 }

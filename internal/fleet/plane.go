@@ -263,6 +263,13 @@ func (p *Plane) logf(format string, args ...any) {
 	}
 }
 
+// Detector returns the heartbeat detector's effective parameters: the
+// configured period and timeout τ, or their defaults where the config
+// left them zero.
+func (p *Plane) Detector() detector.Params {
+	return detector.Params{Period: p.cfg.DetPeriod, Timeout: p.cfg.DetTimeout}
+}
+
 // Epoch returns the fleet's shared simulated-Zero instant.
 func (p *Plane) Epoch() time.Time { return p.epoch }
 

@@ -21,15 +21,17 @@ import (
 	"sync"
 
 	"psclock/internal/live"
+	"psclock/internal/register"
 	"psclock/internal/simtime"
 	"psclock/internal/ta"
 )
 
 func init() {
 	// Recorded actions cross the control connection with their payloads as
-	// interface values: detector SUSPECT/RESTORE carry the peer's NodeID
-	// (register.Value is registered by the register package already).
+	// interface values: detector SUSPECT/RESTORE carry the peer's NodeID,
+	// register READ returns and WRITE invocations a register.Value.
 	gob.Register(ta.NodeID(0))
+	gob.Register(register.Value{})
 }
 
 // wireEvent is one recorded action in flight from daemon to plane; Src

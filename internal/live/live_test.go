@@ -204,7 +204,7 @@ func TestLiveRegisterJitterClock(t *testing.T) {
 	}
 }
 
-// TestLiveRegisterTCP runs the register over the length-prefixed TCP
+// TestLiveRegisterTCP runs the register over the varint-framed TCP
 // transport: same algorithm, same checks, real sockets.
 func TestLiveRegisterTCP(t *testing.T) {
 	tr, err := NewTCPTransport(3)

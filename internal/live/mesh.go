@@ -2,7 +2,6 @@ package live
 
 import (
 	"bufio"
-	"encoding/gob"
 	"fmt"
 	"net"
 	"sync"
@@ -29,7 +28,10 @@ import (
 //     of treating a broken write as fatal.
 //
 // Frames to self never touch the network (§6.1's broadcast includes the
-// sender).
+// sender). Frames to peers use the same varint frame codec as
+// TCPTransport (see appendFrame), and Send rejects a body type with no
+// registered codec. A full queue to an unreachable peer drops frames;
+// after Close, Send returns an error.
 type MeshTransport struct {
 	self int
 	n    int
@@ -39,6 +41,11 @@ type MeshTransport struct {
 
 	deliver func(Frame)
 	selfCh  chan Frame
+
+	// inbound holds the accepted connections, which Close cuts so it
+	// never waits on a peer to hang up; nil once Close has begun.
+	inMu    sync.Mutex
+	inbound map[net.Conn]struct{}
 
 	reconnects atomic.Int64
 	done       chan struct{}
@@ -79,12 +86,13 @@ func NewMeshTransport(self, n int, listenAddr string) (*MeshTransport, error) {
 		return nil, fmt.Errorf("mesh listen: %w", err)
 	}
 	t := &MeshTransport{
-		self:   self,
-		n:      n,
-		ln:     ln,
-		peers:  make([]*meshPeer, n),
-		selfCh: make(chan Frame, meshSelfDepth),
-		done:   make(chan struct{}),
+		self:    self,
+		n:       n,
+		ln:      ln,
+		peers:   make([]*meshPeer, n),
+		selfCh:  make(chan Frame, meshSelfDepth),
+		inbound: make(map[net.Conn]struct{}),
+		done:    make(chan struct{}),
 	}
 	for j := 0; j < n; j++ {
 		if j == self {
@@ -159,6 +167,14 @@ func (t *MeshTransport) Start(deliver func(Frame)) error {
 // queue drops the frame (the link is partitioned or the peer is long
 // dead — backpressure here would wedge the node loop).
 func (t *MeshTransport) Send(f Frame) error {
+	select {
+	case <-t.done:
+		return fmt.Errorf("mesh send: transport closed")
+	default:
+	}
+	if _, err := bodyCodec(f.Body); err != nil {
+		return err
+	}
 	if int(f.To) == t.self {
 		select {
 		case t.selfCh <- f:
@@ -193,6 +209,12 @@ func (t *MeshTransport) Close() error {
 			}
 			p.mu.Unlock()
 		}
+		t.inMu.Lock()
+		for conn := range t.inbound {
+			conn.Close()
+		}
+		t.inbound = nil
+		t.inMu.Unlock()
 	})
 	t.wg.Wait()
 	return nil
@@ -215,6 +237,14 @@ func (t *MeshTransport) acceptLoop() {
 				continue
 			}
 		}
+		t.inMu.Lock()
+		if t.inbound == nil {
+			t.inMu.Unlock()
+			conn.Close()
+			continue
+		}
+		t.inbound[conn] = struct{}{}
+		t.inMu.Unlock()
 		t.wg.Add(1)
 		go t.readLoop(conn)
 	}
@@ -222,11 +252,16 @@ func (t *MeshTransport) acceptLoop() {
 
 func (t *MeshTransport) readLoop(conn net.Conn) {
 	defer t.wg.Done()
-	defer conn.Close()
-	dec := gob.NewDecoder(bufio.NewReaderSize(conn, 64<<10))
+	defer func() {
+		conn.Close()
+		t.inMu.Lock()
+		delete(t.inbound, conn)
+		t.inMu.Unlock()
+	}()
+	br := bufio.NewReaderSize(conn, 64<<10)
 	for {
-		var f Frame
-		if err := dec.Decode(&f); err != nil {
+		f, err := readFrame(br)
+		if err != nil {
 			return
 		}
 		if int(f.To) != t.self {
@@ -309,7 +344,6 @@ func (t *MeshTransport) writeLoop(p *meshPeer) {
 			return
 		}
 		bw := bufio.NewWriterSize(conn, 64<<10)
-		enc := gob.NewEncoder(bw)
 
 		// Write until the connection breaks or the address changes.
 	connLoop:
@@ -327,11 +361,11 @@ func (t *MeshTransport) writeLoop(p *meshPeer) {
 					return
 				}
 			}
-			if err := enc.Encode(f); err != nil {
+			if err := writeFrame(bw, f); err != nil {
 				// The frame may be half-written; redelivery of a clock-
 				// tagged update is harmless (R_ji,ε dedups by hold), but a
-				// truncated stream means the decoder at the far end
-				// resets, so requeue this frame for the next conn.
+				// truncated frame dies with the far end's connection, so
+				// requeue this frame for the next conn.
 				pending = append([]Frame{f}, pending...)
 				break connLoop
 			}
@@ -340,7 +374,7 @@ func (t *MeshTransport) writeLoop(p *meshPeer) {
 			for i := 0; i < 256; i++ {
 				select {
 				case nf := <-p.ch:
-					if err := enc.Encode(nf); err != nil {
+					if err := writeFrame(bw, nf); err != nil {
 						pending = append([]Frame{nf}, pending...)
 						break connLoop
 					}

@@ -43,8 +43,9 @@ type wireResp struct {
 // a host the system under test shares, and gob's per-message reflection
 // was a measurable slice of the core. Requests are (uvarint id,
 // uvarint reg, op byte, value for writes), responses (uvarint id,
-// op byte, value for returns); values are signed varints since the
-// initial value's writer is ta.NoNode = −1. Every field is
+// op byte, value for returns); values are signed varints
+// (register.AppendValue) since the initial value's writer is
+// ta.NoNode = −1. Every field is
 // self-delimiting, so messages need no length prefix.
 
 func appendWireReq(dst []byte, r wireReq) []byte {
@@ -53,8 +54,7 @@ func appendWireReq(dst []byte, r wireReq) []byte {
 	switch {
 	case r.Op == register.ActWrite:
 		dst = append(dst, 'w')
-		dst = binary.AppendVarint(dst, int64(r.Val.Writer))
-		dst = binary.AppendVarint(dst, int64(r.Val.Seq))
+		dst = register.AppendValue(dst, r.Val)
 	case r.Tier == register.TierSeq:
 		dst = append(dst, 's')
 	default:
@@ -86,15 +86,9 @@ func readWireReq(br *bufio.Reader) (wireReq, error) {
 		r.Tier = register.TierSeq
 	case 'w':
 		r.Op = register.ActWrite
-		w, err := binary.ReadVarint(br)
-		if err != nil {
+		if r.Val, err = register.ReadValue(br); err != nil {
 			return r, err
 		}
-		seq, err := binary.ReadVarint(br)
-		if err != nil {
-			return r, err
-		}
-		r.Val = register.Value{Writer: ta.NodeID(w), Seq: int(seq)}
 	default:
 		return r, fmt.Errorf("live: bad request op %q", op)
 	}
@@ -105,8 +99,7 @@ func appendWireResp(dst []byte, r wireResp) []byte {
 	dst = binary.AppendUvarint(dst, r.ID)
 	if r.Op == register.ActReturn {
 		dst = append(dst, 'R')
-		dst = binary.AppendVarint(dst, int64(r.Val.Writer))
-		dst = binary.AppendVarint(dst, int64(r.Val.Seq))
+		dst = register.AppendValue(dst, r.Val)
 	} else {
 		dst = append(dst, 'A')
 	}
@@ -127,15 +120,9 @@ func readWireResp(br *bufio.Reader) (wireResp, error) {
 	switch op {
 	case 'R':
 		r.Op = register.ActReturn
-		w, err := binary.ReadVarint(br)
-		if err != nil {
+		if r.Val, err = register.ReadValue(br); err != nil {
 			return r, err
 		}
-		seq, err := binary.ReadVarint(br)
-		if err != nil {
-			return r, err
-		}
-		r.Val = register.Value{Writer: ta.NodeID(w), Seq: int(seq)}
 	case 'A':
 		r.Op = register.ActAck
 	default:

@@ -2,7 +2,6 @@ package live
 
 import (
 	"bufio"
-	"encoding/gob"
 	"fmt"
 	"net"
 	"sync"
@@ -10,15 +9,17 @@ import (
 	"time"
 )
 
-// TCPTransport carries frames over loopback TCP: one listener per node,
-// one eagerly dialed connection per ordered node pair, and a single
-// persistent gob stream per connection. Message bodies cross as
-// interface values, which is why the algorithm packages register their
-// body types (register/wire.go, detector/wire.go). The stream is
-// long-lived on purpose: gob sends a type descriptor once per stream and
-// compiles its codecs once, where a fresh codec per frame recompiles and
-// retransmits them every time — at pipelined rates that recompilation
-// dominated CPU profiles of the whole process.
+// TCPTransport carries frames over loopback TCP: one listener per node
+// and one eagerly dialed connection per ordered pair of distinct nodes,
+// each a stream of varint-encoded frames (see appendFrame). Message
+// bodies cross through the codecs their packages register
+// (register/wire.go, detector/wire.go); Send rejects a body type with
+// none.
+//
+// Frames a node sends itself (§6.1's broadcast includes the sender) never
+// touch a socket: each node's self pair is a queue drained by a delivery
+// goroutine that calls the same deliver callback, so n nodes dial
+// n(n−1) connections, not n².
 //
 // All logical register channels between a node pair multiplex the pair's
 // single connection — Frame.Chan distinguishes them — so R register
@@ -32,19 +33,18 @@ import (
 // Sends never block on the socket: each pair connection has a writer
 // goroutine fed by a buffered queue. The writer coalesces every queued
 // frame into its buffered stream per wakeup — writev-style batching — so
-// under pipelined load the per-frame syscall cost amortizes away; an
-// optional flush delay widens the coalescing window further at a latency
-// cost.
+// under pipelined load the per-frame syscall cost amortizes away.
 type TCPTransport struct {
 	n     int
 	addrs []string
 	lns   []net.Listener
 
-	// peers is indexed from·n + to: one writer per ordered node pair.
+	// peers is indexed from·n + to: one writer per ordered pair of
+	// distinct nodes, one self-delivery queue per node.
 	peers []*tcpPeer
 
-	flushDelay time.Duration
-
+	// dials counts the connections Start opened.
+	dials      int
 	reconnects atomic.Int64
 
 	mu      sync.Mutex
@@ -98,16 +98,9 @@ func (t *TCPTransport) Addrs() []string {
 	return out
 }
 
-// SetFlushDelay widens the writer coalescing window: after picking up a
-// frame, the writer waits up to d for more before flushing the batch.
-// Zero (the default) flushes as soon as the queue drains — batching is
-// then purely opportunistic and adds no latency. Must be called before
-// Start.
-func (t *TCPTransport) SetFlushDelay(d time.Duration) { t.flushDelay = d }
-
-// Start implements Transport: dial every pair connection, then begin
-// accepting inbound connections and decoding frames to the delivery
-// callback.
+// Start implements Transport: dial every pair connection, start the
+// self-delivery loops, then begin accepting inbound connections and
+// decoding frames to the delivery callback.
 func (t *TCPTransport) Start(deliver func(Frame)) error {
 	t.mu.Lock()
 	if t.started {
@@ -139,26 +132,32 @@ func (t *TCPTransport) Start(deliver func(Frame)) error {
 	// frame exists to be charged for it.
 	for from := 0; from < t.n; from++ {
 		for to := 0; to < t.n; to++ {
-			conn, err := net.Dial("tcp", t.addrs[to])
-			if err != nil {
-				t.Close()
-				return fmt.Errorf("live: dial %d→%d: %w", from, to, err)
-			}
 			p := &tcpPeer{to: to, ch: make(chan Frame, tcpQueueDepth)}
 			t.peers[from*t.n+to] = p
 			t.wg.Add(1)
+			if from == to {
+				go t.selfLoop(p, deliver)
+				continue
+			}
+			conn, err := net.Dial("tcp", t.addrs[to])
+			if err != nil {
+				t.wg.Done()
+				t.Close()
+				return fmt.Errorf("live: dial %d→%d: %w", from, to, err)
+			}
+			t.dials++
 			go t.writeLoop(p, conn)
 		}
 	}
 	return nil
 }
 
-// readLoop decodes one connection's gob stream until EOF or shutdown.
+// readLoop decodes one connection's frames until EOF or shutdown.
 func (t *TCPTransport) readLoop(conn net.Conn, deliver func(Frame)) {
-	dec := gob.NewDecoder(bufio.NewReaderSize(conn, 32<<10))
+	br := bufio.NewReaderSize(conn, 32<<10)
 	for {
-		var f Frame
-		if err := dec.Decode(&f); err != nil {
+		f, err := readFrame(br)
+		if err != nil {
 			return
 		}
 		if t.closed.Load() {
@@ -168,13 +167,34 @@ func (t *TCPTransport) readLoop(conn net.Conn, deliver func(Frame)) {
 	}
 }
 
-// Send implements Transport: enqueue the frame on its pair's writer.
+// selfLoop delivers one node's frames to itself, in send order, until
+// shutdown.
+func (t *TCPTransport) selfLoop(p *tcpPeer, deliver func(Frame)) {
+	defer t.wg.Done()
+	for {
+		select {
+		case f := <-p.ch:
+			if t.closed.Load() {
+				return
+			}
+			deliver(f)
+		case <-t.done:
+			return
+		}
+	}
+}
+
+// Send implements Transport: enqueue the frame on its pair's writer, or
+// on the sender's self-delivery queue.
 func (t *TCPTransport) Send(f Frame) error {
 	if t.closed.Load() {
 		return fmt.Errorf("live: send on closed transport")
 	}
 	if int(f.From) < 0 || int(f.From) >= t.n || int(f.To) < 0 || int(f.To) >= t.n {
 		return fmt.Errorf("live: send on unknown pair %v→%v", f.From, f.To)
+	}
+	if _, err := bodyCodec(f.Body); err != nil {
+		return err
 	}
 	p := t.peers[int(f.From)*t.n+int(f.To)]
 	if p == nil {
@@ -191,7 +211,7 @@ func (t *TCPTransport) Send(f Frame) error {
 }
 
 // writeLoop coalesces queued frames into batched writes on one pair
-// connection's persistent gob stream until shutdown.
+// connection until shutdown.
 func (t *TCPTransport) writeLoop(p *tcpPeer, conn net.Conn) {
 	defer t.wg.Done()
 	// conn is reassigned on reconnect; close whichever is current on exit.
@@ -201,15 +221,6 @@ func (t *TCPTransport) writeLoop(p *tcpPeer, conn net.Conn) {
 		}
 	}()
 	bw := bufio.NewWriterSize(conn, 32<<10)
-	enc := gob.NewEncoder(bw)
-	var flushTimer *time.Timer
-	if t.flushDelay > 0 {
-		flushTimer = time.NewTimer(time.Hour)
-		if !flushTimer.Stop() {
-			<-flushTimer.C
-		}
-		defer flushTimer.Stop()
-	}
 	for {
 		// Block for the batch's first frame.
 		var f Frame
@@ -218,47 +229,28 @@ func (t *TCPTransport) writeLoop(p *tcpPeer, conn net.Conn) {
 		case <-t.done:
 			return
 		}
-		err := enc.Encode(f)
+		err := writeFrame(bw, f)
 		// Opportunistic drain: everything already queued joins the batch
 		// (bufio flushes itself if a batch outgrows its buffer).
-		err = t.drainInto(enc, p, err)
-		if flushTimer != nil && err == nil {
-			// Flush-deadline window: linger briefly for frames that are
-			// about to arrive, then drain once more.
-			flushTimer.Reset(t.flushDelay)
-			select {
-			case f2 := <-p.ch:
-				err = t.drainInto(enc, p, enc.Encode(f2))
-			case <-flushTimer.C:
-			case <-t.done:
-				// Flush what we have before exiting.
-			}
-			if !flushTimer.Stop() {
-				select {
-				case <-flushTimer.C:
-				default:
-				}
-			}
-		}
+		err = t.drainInto(bw, p, err)
 		if err == nil {
 			err = bw.Flush()
 		}
 		if err != nil {
 			// Connection gone. The erroring frame is lost (possibly
-			// half-written, so it cannot safely be replayed on a stream the
-			// far decoder will restart), but the link is not: redial with
-			// bounded exponential backoff and resume with a fresh gob
-			// stream. A lost register update is indistinguishable from a
-			// message the model never delivered on time — the online
-			// checker, not the transport, judges whether the run survived.
+			// half-written, and the far reader drops the partial frame with
+			// its connection), but the link is not: redial with bounded
+			// exponential backoff and resume on the fresh connection. A lost
+			// register update is indistinguishable from a message the model
+			// never delivered on time — the online checker, not the
+			// transport, judges whether the run survived.
 			conn.Close()
 			conn = t.redial(p)
 			if conn == nil {
 				return // shutting down
 			}
 			t.reconnects.Add(1)
-			bw = bufio.NewWriterSize(conn, 32<<10)
-			enc = gob.NewEncoder(bw)
+			bw.Reset(conn)
 		}
 	}
 }
@@ -297,11 +289,11 @@ func (t *TCPTransport) Reconnects() int64 { return t.reconnects.Load() }
 
 // drainInto encodes every immediately available queued frame onto the
 // stream; a sticky error short-circuits.
-func (t *TCPTransport) drainInto(enc *gob.Encoder, p *tcpPeer, err error) error {
+func (t *TCPTransport) drainInto(bw *bufio.Writer, p *tcpPeer, err error) error {
 	for err == nil {
 		select {
 		case f := <-p.ch:
-			err = enc.Encode(f)
+			err = writeFrame(bw, f)
 		default:
 			return nil
 		}

@@ -3,27 +3,22 @@ package live
 import (
 	"bufio"
 	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"psclock/internal/register"
 	"psclock/internal/simtime"
 )
 
-// Frame-codec micro-benchmarks. The TCP transport keeps one persistent
-// gob stream per connection: the type descriptors for Frame and its
-// registered body types cross the wire once per stream and their codecs
-// compile once. The per-frame variant below is the pattern the transport
-// abandoned — a fresh encoder/decoder pair per frame recompiles and
-// retransmits the descriptors every time, and at pipelined rates that
-// recompilation dominated whole-process CPU profiles. The benchmarks pin
-// both the allocs/op of the steady-state path and the gap to the naive
-// pattern, so a regression back to per-frame codec construction is
-// visible in numbers, not just in profiles.
+// Codec micro-benchmarks and allocation pins for the two varint wire
+// formats: the peer frame codec both TCP transports share (appendFrame /
+// readFrame) and the client↔server request/response codec. Both encode
+// into caller-owned scratch and decode from a persistent bufio.Reader, so
+// the steady state allocates nothing beyond the decoded frame's boxed
+// body.
 
-// benchFrame is a representative inter-node frame: an UPDATE-style body
-// (register.Value is one of the register package's gob-registered wire
-// types) with clock tag and delay-measurement stamps populated.
+// benchFrame is a representative inter-node frame: a register.Value body
+// (a registered wire type) with clock tag and delay-measurement stamps
+// populated.
 func benchFrame() Frame {
 	return Frame{
 		From:      1,
@@ -35,53 +30,46 @@ func benchFrame() Frame {
 	}
 }
 
-// BenchmarkFrameCodecStream measures the transport's actual hot path:
-// encode one frame onto a persistent stream, decode it from the paired
-// persistent decoder. Descriptor compilation amortizes to zero; the
-// steady state is a handful of small allocations per frame (gob's
-// interface-value decode).
-func BenchmarkFrameCodecStream(b *testing.B) {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	dec := gob.NewDecoder(&buf)
+// BenchmarkFrameCodec measures one peer frame's round trip: encode into
+// reused scratch, decode from a persistent reader.
+func BenchmarkFrameCodec(b *testing.B) {
 	f := benchFrame()
-	// Prime the stream so descriptor transmission is outside the loop,
-	// as it is outside the steady state on a live connection.
-	if err := enc.Encode(f); err != nil {
-		b.Fatal(err)
-	}
-	var out Frame
-	if err := dec.Decode(&out); err != nil {
-		b.Fatal(err)
-	}
+	var buf bytes.Buffer
+	br := bufio.NewReader(&buf)
+	var scratch []byte
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := enc.Encode(f); err != nil {
+		var err error
+		if scratch, err = appendFrame(scratch[:0], f); err != nil {
 			b.Fatal(err)
 		}
-		if err := dec.Decode(&out); err != nil {
+		buf.Write(scratch)
+		if _, err := readFrame(br); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkFrameCodecPerFrame measures the abandoned pattern: a fresh
-// encoder/decoder per frame, paying descriptor compilation and
-// transmission every time. Kept as the contrast baseline for the
-// persistent-stream numbers above.
-func BenchmarkFrameCodecPerFrame(b *testing.B) {
+// TestFrameCodecAllocs pins the frame codec's steady-state allocations:
+// none to encode, at most one to decode (boxing the body into Frame.Body).
+func TestFrameCodecAllocs(t *testing.T) {
 	f := benchFrame()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(f); err != nil {
-			b.Fatal(err)
+	scratch, err := appendFrame(nil, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(1000, func() { scratch, _ = appendFrame(scratch[:0], f) }); n != 0 {
+		t.Errorf("encode: %v allocs/frame, want 0", n)
+	}
+	var buf bytes.Buffer
+	br := bufio.NewReader(&buf)
+	if n := testing.AllocsPerRun(1000, func() {
+		buf.Write(scratch)
+		if _, err := readFrame(br); err != nil {
+			t.Fatal(err)
 		}
-		var out Frame
-		if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-			b.Fatal(err)
-		}
+	}); n > 1 {
+		t.Errorf("decode: %v allocs/frame, want ≤ 1", n)
 	}
 }
 

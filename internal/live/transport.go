@@ -1,9 +1,12 @@
 package live
 
 import (
+	"bufio"
+	"encoding/binary"
 	"fmt"
 	"sync"
 
+	"psclock/internal/core"
 	"psclock/internal/simtime"
 	"psclock/internal/ta"
 )
@@ -26,10 +29,85 @@ type Frame struct {
 	Body      any
 }
 
+// Peer frames cross TCP links (TCPTransport, MeshTransport) in a
+// hand-rolled varint format, as the client wire does (server.go): the
+// header fields From, To, Chan, SentClock and SentReal as signed varints,
+// then the body's tag byte and the body's own fields from the codec its
+// package registered with core.RegisterBody. Every field is
+// self-delimiting, so frames need no length prefix.
+
+// bodyCodec returns the codec for a frame body, or the error both TCP
+// transports' Send return for a body type nothing registered.
+func bodyCodec(body any) (*core.BodyCodec, error) {
+	c, ok := core.BodyCodecOf(body)
+	if !ok {
+		return nil, fmt.Errorf("live: frame body %T has no registered codec", body)
+	}
+	return c, nil
+}
+
+// appendFrame appends f's encoding to dst.
+func appendFrame(dst []byte, f Frame) ([]byte, error) {
+	c, err := bodyCodec(f.Body)
+	if err != nil {
+		return dst, err
+	}
+	dst = binary.AppendVarint(dst, int64(f.From))
+	dst = binary.AppendVarint(dst, int64(f.To))
+	dst = binary.AppendVarint(dst, int64(f.Chan))
+	dst = binary.AppendVarint(dst, int64(f.SentClock))
+	dst = binary.AppendVarint(dst, int64(f.SentReal))
+	dst = append(dst, c.Tag)
+	return c.Append(dst, f.Body), nil
+}
+
+// readFrame decodes one frame written by appendFrame. Truncated input,
+// an overlong varint or an unknown body tag is an error.
+func readFrame(br *bufio.Reader) (Frame, error) {
+	var h [5]int64
+	for i := range h {
+		v, err := binary.ReadVarint(br)
+		if err != nil {
+			return Frame{}, err
+		}
+		h[i] = v
+	}
+	tag, err := br.ReadByte()
+	if err != nil {
+		return Frame{}, err
+	}
+	c, ok := core.BodyCodecFor(tag)
+	if !ok {
+		return Frame{}, fmt.Errorf("live: unknown frame body tag %d", tag)
+	}
+	body, err := c.Read(br)
+	if err != nil {
+		return Frame{}, err
+	}
+	return Frame{
+		From: ta.NodeID(h[0]), To: ta.NodeID(h[1]), Chan: int(h[2]),
+		SentClock: simtime.Time(h[3]), SentReal: simtime.Time(h[4]),
+		Body: body,
+	}, nil
+}
+
+// writeFrame encodes f straight into bw's free space. Send admits only
+// bodies with a registered codec, so a codec error here is a broken
+// invariant, never a connection fault.
+func writeFrame(bw *bufio.Writer, f Frame) error {
+	buf, err := appendFrame(bw.AvailableBuffer(), f)
+	if err != nil {
+		panic(err)
+	}
+	_, err = bw.Write(buf)
+	return err
+}
+
 // Transport moves frames between nodes. Start installs the delivery
 // callback and begins accepting; Send may be called concurrently from
 // every node goroutine after Start; Close stops delivery and releases
-// resources. The delivery callback must be safe for concurrent use and
+// resources: once Close returns, deliver is not called again and Send
+// returns an error. The delivery callback must be safe for concurrent use and
 // must not block indefinitely (the runtime's per-node inboxes are deep,
 // and closed-loop workloads bound the frames in flight).
 type Transport interface {
