@@ -217,7 +217,7 @@ func RunDaemon(cfg DaemonConfig) error {
 		for {
 			select {
 			case <-tick.C:
-				b := msgBeat{Measured: rt.Snapshot(), Dropped: ft.Dropped()}
+				b := msgBeat{Measured: rt.Snapshot(), Dropped: ft.Dropped() + mesh.Dropped()}
 				if err := ctl.send(envelope{Beat: &b}); err != nil {
 					beginStop()
 					return
@@ -339,7 +339,7 @@ drain:
 			break drain
 		}
 	}
-	bye := msgBye{Measured: m, Dropped: ft.Dropped()}
+	bye := msgBye{Measured: m, Dropped: ft.Dropped() + mesh.Dropped()}
 	err = ctl.send(envelope{Bye: &bye})
 	ctl.close()
 	logf("bye: ops recorded, eps=%v reconnects=%d", m.Eps, m.Reconnects)

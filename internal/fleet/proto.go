@@ -72,7 +72,7 @@ type msgHello struct {
 }
 
 // msgBeat is the daemon's periodic liveness proof, carrying its runtime's
-// measured bounds so far plus the fault layer's drop count.
+// measured bounds so far plus the frames its fault layer and mesh dropped.
 type msgBeat struct {
 	Measured live.Measured
 	Dropped  int64

@@ -127,38 +127,66 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// transportUnderTest is one transport wiring of a small cluster: send
-// routes a frame to its sender's transport, close shuts every transport
-// down.
+// transportUnderTest is one transport wiring of a small cluster: start
+// starts every node's transport, send routes a frame to its sender's
+// transport, close shuts every transport down.
 type transportUnderTest struct {
+	start func(deliver func(Frame)) error
 	send  func(Frame) error
 	close func()
 }
 
+// connectedLinks counts m's outbound links that hold a connection.
+func connectedLinks(m *MeshTransport) int {
+	links := 0
+	for _, p := range m.peers {
+		if p == nil {
+			continue
+		}
+		p.mu.Lock()
+		if p.conn != nil {
+			links++
+		}
+		p.mu.Unlock()
+	}
+	return links
+}
+
 // TestTransportConformance runs one table of contract checks against both
-// TCP transports: per-pair FIFO order, self-frames reaching deliver,
-// exactly-once delivery, rejection of unregistered bodies, Send erroring
-// after Close, and no delivery once Close has returned.
+// TCP wirings — TCPTransport's in-process host, whose members know every
+// address before Start and dial eagerly, and bare MeshTransport members
+// wired after Start, which dial lazily: per-pair FIFO order, self-frames
+// reaching deliver, exactly-once delivery, rejection of unregistered
+// bodies, Send erroring after Close, no delivery once Close has returned,
+// a second Start erroring, and a self-Send erroring rather than blocking
+// once a parked deliver has let the self queue fill.
 func TestTransportConformance(t *testing.T) {
 	const n = 3
 	cases := []struct {
 		name  string
-		start func(t *testing.T, deliver func(Frame)) transportUnderTest
+		build func(t *testing.T) transportUnderTest
 	}{
-		{"tcp", func(t *testing.T, deliver func(Frame)) transportUnderTest {
+		{"tcp", func(t *testing.T) transportUnderTest {
 			tr, err := NewTCPTransport(n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tr.Start(deliver); err != nil {
-				t.Fatal(err)
+			start := func(deliver func(Frame)) error {
+				if err := tr.Start(deliver); err != nil {
+					return err
+				}
+				links := 0
+				for _, m := range tr.members {
+					links += connectedLinks(m)
+				}
+				if links != n*(n-1) {
+					t.Errorf("%d links connected when Start returned, want n(n−1) = %d", links, n*(n-1))
+				}
+				return nil
 			}
-			if tr.dials != n*(n-1) {
-				t.Errorf("dialed %d connections, want n(n−1) = %d", tr.dials, n*(n-1))
-			}
-			return transportUnderTest{send: tr.Send, close: func() { tr.Close() }}
+			return transportUnderTest{start: start, send: tr.Send, close: func() { tr.Close() }}
 		}},
-		{"mesh", func(t *testing.T, deliver func(Frame)) transportUnderTest {
+		{"mesh", func(t *testing.T) transportUnderTest {
 			ms := make([]*MeshTransport, n)
 			for i := range ms {
 				m, err := NewMeshTransport(i, n, "")
@@ -167,15 +195,18 @@ func TestTransportConformance(t *testing.T) {
 				}
 				ms[i] = m
 			}
-			for _, m := range ms {
-				if err := m.Start(deliver); err != nil {
-					t.Fatal(err)
-				}
-				for j, peer := range ms {
-					m.SetPeer(j, peer.Addr())
-				}
-			}
 			return transportUnderTest{
+				start: func(deliver func(Frame)) error {
+					for _, m := range ms {
+						if err := m.Start(deliver); err != nil {
+							return err
+						}
+						for j, peer := range ms {
+							m.SetPeer(j, peer.Addr())
+						}
+					}
+					return nil
+				},
 				send: func(f Frame) error { return ms[f.From].Send(f) },
 				close: func() {
 					for _, m := range ms {
@@ -210,7 +241,10 @@ func TestTransportConformance(t *testing.T) {
 					close(all)
 				}
 			}
-			tr := tc.start(t, deliver)
+			tr := tc.build(t)
+			if err := tr.start(deliver); err != nil {
+				t.Fatal(err)
+			}
 			defer func() {
 				if !closed.Load() {
 					tr.close()
@@ -274,6 +308,47 @@ func TestTransportConformance(t *testing.T) {
 			if l := lateSeen.Load(); l != 0 {
 				t.Errorf("%d frames delivered after Close returned", l)
 			}
+
+			t.Run("double Start", func(t *testing.T) {
+				tr := tc.build(t)
+				defer tr.close()
+				if err := tr.start(func(Frame) {}); err != nil {
+					t.Fatal(err)
+				}
+				if err := tr.start(func(Frame) {}); err == nil {
+					t.Error("second Start returned nil")
+				}
+			})
+
+			t.Run("self queue full", func(t *testing.T) {
+				tr := tc.build(t)
+				defer tr.close()
+				park := make(chan struct{})
+				defer close(park) // before close: Close waits for the parked deliver
+				if err := tr.start(func(Frame) { <-park }); err != nil {
+					t.Fatal(err)
+				}
+				// One frame parks deliver, meshQueueDepth fill the self queue,
+				// and the next must be refused.
+				errc := make(chan error, 1)
+				go func() {
+					for k := 0; k < meshQueueDepth+2; k++ {
+						if err := tr.send(Frame{From: 0, To: 0, Body: register.Value{Seq: k}}); err != nil {
+							errc <- err
+							return
+						}
+					}
+					errc <- nil
+				}()
+				select {
+				case err := <-errc:
+					if err == nil {
+						t.Errorf("%d self Sends against a parked deliver all returned nil", meshQueueDepth+2)
+					}
+				case <-time.After(10 * time.Second):
+					t.Error("self Send blocked on a full self queue")
+				}
+			})
 		})
 	}
 }

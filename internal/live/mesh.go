@@ -9,35 +9,41 @@ import (
 	"time"
 )
 
-// MeshTransport is the fleet's inter-daemon transport: one node per OS
-// process, each process listening on its own TCP address, with peer
-// addresses supplied — and re-supplied after a crashed peer is replaced —
-// by the control plane. It differs from TCPTransport (all nodes in one
-// process, addresses fixed at construction) in three ways that the fleet
-// runtime needs:
+// MeshTransport is one node's end of the TCP peer transport: a listener
+// for its peers' links and one outbound link per peer — the node's own
+// send buffer S_ij,ε and receive buffer R_ji,ε of §4.2.1, on its own
+// links. The fleet runs one per OS process; TCPTransport hosts n of them
+// in one process.
 //
-//   - Lazy, retried dials: a peer may not be up yet when the first frame
-//     for it is queued, or may be down for hundreds of milliseconds while
-//     the plane restarts it. The writer retries with bounded exponential
-//     backoff instead of failing the run.
-//   - Re-wiring: SetPeer replaces a peer's address mid-run and tears down
-//     the stale connection; the writer redials the new address with the
-//     same frames-in-flight queue.
-//   - Reconnect accounting: every successful dial after the first is
-//     counted, so the live report records how often links healed instead
-//     of treating a broken write as fatal.
+// Each link is a stream of varint-encoded frames (see appendFrame), and
+// all logical register channels to a peer multiplex its single
+// connection — Frame.Chan distinguishes them — so R register instances
+// cost the same number of sockets as one. Frames a node sends itself
+// (§6.1's broadcast includes the sender) never touch a socket: a queue
+// drained by a delivery goroutine calls the same deliver callback.
 //
-// Frames to self never touch the network (§6.1's broadcast includes the
-// sender). Frames to peers use the same varint frame codec as
-// TCPTransport (see appendFrame), and Send rejects a body type with no
-// registered codec. A full queue to an unreachable peer drops frames;
-// after Close, Send returns an error.
+// Links are dialed eagerly where possible: Start dials every peer whose
+// address SetPeer has already supplied, and fails if a dial fails. Dial
+// plus handshake takes hundreds of microseconds on loopback, and a lazy
+// dial would charge that setup to the first frame's [d1, d2] delay
+// measurement. Peers learned later — a fleet member not up yet, or a
+// crashed one the control plane replaced — are dialed lazily by the
+// link's writer, with bounded exponential backoff. SetPeer may swap a
+// peer's address mid-run; the writer redials the new address with the
+// same queue, and every dial after a link's first counts as a reconnect.
+//
+// Send never blocks: it enqueues on the link's writer (or the self
+// queue) and returns an error if the queue is full or the transport is
+// closed, or if the body type has no registered codec. Each writer
+// blocks for a frame, then drains everything already queued into one
+// buffered write, so under pipelined load the per-frame syscall cost
+// amortizes away.
 type MeshTransport struct {
 	self int
 	n    int
 	ln   net.Listener
 
-	peers []*meshPeer
+	peers []*meshPeer // indexed by node; nil at self
 
 	deliver func(Frame)
 	selfCh  chan Frame
@@ -47,36 +53,42 @@ type MeshTransport struct {
 	inMu    sync.Mutex
 	inbound map[net.Conn]struct{}
 
+	started    atomic.Bool
 	reconnects atomic.Int64
+	dropped    atomic.Int64
 	done       chan struct{}
 	wg         sync.WaitGroup
 	closeOnce  sync.Once
 }
 
 type meshPeer struct {
-	to int
 	ch chan Frame
 
-	mu   sync.Mutex
-	addr string
-	conn net.Conn // current writer conn, closed by SetPeer to force redial
-	gen  int      // bumped by SetPeer so the writer notices address swaps
+	mu     sync.Mutex
+	addr   string
+	conn   net.Conn // current writer conn, closed by SetPeer to force redial
+	gen    int      // bumped by SetPeer so the writer notices address swaps
+	dialed bool     // the link has connected before: the next dial is a reconnect
 }
 
 const (
+	// meshQueueDepth bounds each link's outbound queue and the self
+	// queue. Closed-loop workloads keep at most a few frames per link in
+	// flight; pipelined workloads keep roughly one frame per in-flight
+	// operation, so the depth is sized to the deepest pipelines pscserve
+	// drives before Send starts reporting overload.
 	meshQueueDepth = 8192
+	meshBufSize    = 32 << 10
 	meshBackoffMin = 10 * time.Millisecond
 	meshBackoffMax = 640 * time.Millisecond
 	meshIdlePoll   = 20 * time.Millisecond
-	meshFlushDelay = 200 * time.Microsecond
-	meshSelfDepth  = 8192
 )
 
 var _ Transport = (*MeshTransport)(nil)
 
-// NewMeshTransport listens on a fresh loopback-or-any port for node self
-// of an n-node fleet. Peer addresses start empty; the plane supplies them
-// via SetPeer before (and during) the run.
+// NewMeshTransport listens on listenAddr (a fresh loopback port if
+// empty) for node self of an n-node cluster. Peer addresses start empty;
+// SetPeer supplies them before or during the run.
 func NewMeshTransport(self, n int, listenAddr string) (*MeshTransport, error) {
 	if listenAddr == "" {
 		listenAddr = "127.0.0.1:0"
@@ -90,15 +102,14 @@ func NewMeshTransport(self, n int, listenAddr string) (*MeshTransport, error) {
 		n:       n,
 		ln:      ln,
 		peers:   make([]*meshPeer, n),
-		selfCh:  make(chan Frame, meshSelfDepth),
+		selfCh:  make(chan Frame, meshQueueDepth),
 		inbound: make(map[net.Conn]struct{}),
 		done:    make(chan struct{}),
 	}
-	for j := 0; j < n; j++ {
-		if j == self {
-			continue
+	for j := range t.peers {
+		if j != self {
+			t.peers[j] = &meshPeer{ch: make(chan Frame, meshQueueDepth)}
 		}
-		t.peers[j] = &meshPeer{to: j, ch: make(chan Frame, meshQueueDepth)}
 	}
 	return t, nil
 }
@@ -115,9 +126,8 @@ func (t *MeshTransport) SetPeer(j int, addr string) {
 	}
 	p := t.peers[j]
 	p.mu.Lock()
-	changed := p.addr != addr
-	p.addr = addr
-	if changed {
+	if p.addr != addr {
+		p.addr = addr
 		p.gen++
 		if p.conn != nil {
 			p.conn.Close()
@@ -128,70 +138,73 @@ func (t *MeshTransport) SetPeer(j int, addr string) {
 }
 
 // Reconnects returns the number of successful re-dials (dials after each
-// peer's first) across all links.
+// link's first) across all links.
 func (t *MeshTransport) Reconnects() int64 { return t.reconnects.Load() }
 
-// Start implements Transport: begins accepting inbound peer connections
-// and launches one writer per outbound link plus the self-delivery loop.
+// Dropped returns the number of frames Send refused because their queue
+// was full.
+func (t *MeshTransport) Dropped() int64 { return t.dropped.Load() }
+
+// Start implements Transport: accept inbound links, start the
+// self-delivery loop, and launch one writer per outbound link, first
+// dialing every peer whose address is known. A failed Start leaves
+// cleanup to Close.
 func (t *MeshTransport) Start(deliver func(Frame)) error {
+	if !t.started.CompareAndSwap(false, true) {
+		return fmt.Errorf("live: transport already started")
+	}
 	t.deliver = deliver
-
-	t.wg.Add(1)
+	t.wg.Add(2)
 	go t.acceptLoop()
-
-	t.wg.Add(1)
-	go func() {
-		defer t.wg.Done()
-		for {
-			select {
-			case f := <-t.selfCh:
-				t.deliver(f)
-			case <-t.done:
-				return
-			}
-		}
-	}()
-
-	for j := 0; j < t.n; j++ {
-		if j == t.self {
+	go t.selfLoop()
+	for j, p := range t.peers {
+		if p == nil {
 			continue
 		}
-		p := t.peers[j]
+		var conn net.Conn
+		addr, gen := p.target()
+		if addr != "" {
+			var err error
+			if conn, err = t.connect(p, addr, gen); err != nil {
+				return fmt.Errorf("live: dial %d→%d: %w", t.self, j, err)
+			}
+		}
 		t.wg.Add(1)
-		go t.writeLoop(p)
+		go t.writeLoop(p, conn, gen)
 	}
 	return nil
 }
 
-// Send implements Transport. Frames to unknown-yet peers queue; a full
-// queue drops the frame (the link is partitioned or the peer is long
-// dead — backpressure here would wedge the node loop).
+// Send implements Transport: enqueue the frame on its link's writer, or
+// on the self-delivery queue.
 func (t *MeshTransport) Send(f Frame) error {
 	select {
 	case <-t.done:
-		return fmt.Errorf("mesh send: transport closed")
+		return fmt.Errorf("live: send on closed transport")
 	default:
 	}
 	if _, err := bodyCodec(f.Body); err != nil {
 		return err
 	}
-	if int(f.To) == t.self {
-		select {
-		case t.selfCh <- f:
-		case <-t.done:
-		}
-		return nil
-	}
-	if int(f.To) < 0 || int(f.To) >= t.n {
-		return fmt.Errorf("mesh send: no peer %d", f.To)
+	var ch chan Frame
+	switch to := int(f.To); {
+	case to == t.self:
+		ch = t.selfCh
+	case to >= 0 && to < t.n:
+		ch = t.peers[to].ch
+	default:
+		return fmt.Errorf("live: send to unknown node %v", f.To)
 	}
 	select {
-	case t.peers[f.To].ch <- f:
+	case ch <- f:
+		return nil
 	default:
-		// Queue full: the peer has been unreachable for a long time.
-		// Dropping keeps the sender live; the checker sees the loss.
+		// The peer has been unreachable for long, or the node is
+		// overloaded: blocking here would wedge the node loop. The loss is
+		// counted; the checker judges whether the run survived it.
+		t.dropped.Add(1)
+		return fmt.Errorf("live: outbound queue %v→%v full", f.From, f.To)
 	}
-	return nil
 }
 
 // Close implements Transport.
@@ -250,6 +263,7 @@ func (t *MeshTransport) acceptLoop() {
 	}
 }
 
+// readLoop decodes one inbound link's frames until EOF or shutdown.
 func (t *MeshTransport) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -258,7 +272,7 @@ func (t *MeshTransport) readLoop(conn net.Conn) {
 		delete(t.inbound, conn)
 		t.inMu.Unlock()
 	}()
-	br := bufio.NewReaderSize(conn, 64<<10)
+	br := bufio.NewReaderSize(conn, meshBufSize)
 	for {
 		f, err := readFrame(br)
 		if err != nil {
@@ -276,11 +290,45 @@ func (t *MeshTransport) readLoop(conn net.Conn) {
 	}
 }
 
-// dial connects to p's current address, waiting while no address is
-// known and backing off on failure. Returns nil when the transport is
-// closing. first reports whether this peer has ever connected, for
-// reconnect accounting.
-func (t *MeshTransport) dial(p *meshPeer, first *bool) (net.Conn, int) {
+// selfLoop delivers the node's frames to itself, in send order, until
+// shutdown.
+func (t *MeshTransport) selfLoop() {
+	defer t.wg.Done()
+	for {
+		select {
+		case f := <-t.selfCh:
+			t.deliver(f)
+		case <-t.done:
+			return
+		}
+	}
+}
+
+// connect dials addr once and installs the connection as p's current
+// one, unless a SetPeer swap since gen was read made it stale.
+func (t *MeshTransport) connect(p *meshPeer, addr string, gen int) (net.Conn, error) {
+	conn, err := net.DialTimeout("tcp", addr, time.Second)
+	if err != nil {
+		return nil, err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.gen != gen {
+		conn.Close()
+		return nil, fmt.Errorf("peer address changed while dialing %s", addr)
+	}
+	p.conn = conn
+	if p.dialed {
+		t.reconnects.Add(1)
+	}
+	p.dialed = true
+	return conn, nil
+}
+
+// redial connects p to its current address, waiting while none is known
+// and backing off on failure. It returns a nil conn once the transport
+// is closing.
+func (t *MeshTransport) redial(p *meshPeer) (net.Conn, int) {
 	backoff := meshBackoffMin
 	for {
 		select {
@@ -288,123 +336,90 @@ func (t *MeshTransport) dial(p *meshPeer, first *bool) (net.Conn, int) {
 			return nil, 0
 		default:
 		}
-		p.mu.Lock()
-		addr := p.addr
-		gen := p.gen
-		p.mu.Unlock()
-		if addr == "" {
-			select {
-			case <-t.done:
-				return nil, 0
-			case <-time.After(meshIdlePoll):
+		addr, gen := p.target()
+		wait := meshIdlePoll
+		if addr != "" {
+			conn, err := t.connect(p, addr, gen)
+			if err == nil {
+				return conn, gen
 			}
-			continue
-		}
-		conn, err := net.DialTimeout("tcp", addr, time.Second)
-		if err != nil {
-			select {
-			case <-t.done:
-				return nil, 0
-			case <-time.After(backoff):
-			}
+			wait = backoff
 			if backoff *= 2; backoff > meshBackoffMax {
 				backoff = meshBackoffMax
 			}
-			continue
 		}
-		if tc, ok := conn.(*net.TCPConn); ok {
-			tc.SetNoDelay(true)
+		select {
+		case <-t.done:
+			return nil, 0
+		case <-time.After(wait):
 		}
-		p.mu.Lock()
-		// The address may have changed while dialing; only install the
-		// conn if it still matches this generation.
-		if p.gen != gen {
-			p.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		p.conn = conn
-		p.mu.Unlock()
-		if *first {
-			*first = false
-		} else {
-			t.reconnects.Add(1)
-		}
-		return conn, gen
 	}
 }
 
-func (t *MeshTransport) writeLoop(p *meshPeer) {
-	defer t.wg.Done()
-	first := true
-	var pending []Frame
-	for {
-		conn, gen := t.dial(p, &first)
-		if conn == nil {
-			return
-		}
-		bw := bufio.NewWriterSize(conn, 64<<10)
+// target returns p's current address and its SetPeer generation.
+func (p *meshPeer) target() (string, int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.addr, p.gen
+}
 
-		// Write until the connection breaks or the address changes.
-	connLoop:
+// writeLoop feeds one outbound link until shutdown, starting on conn if
+// Start dialed it. When the connection breaks or SetPeer swaps the
+// address, the writer redials and resends the frame it could not write
+// first. Frames already flushed into a connection that then broke are
+// lost: a lost register update is indistinguishable from a message the
+// model never delivered on time, and the online checker, not the
+// transport, judges whether the run survived.
+func (t *MeshTransport) writeLoop(p *meshPeer, conn net.Conn, gen int) {
+	defer t.wg.Done()
+	bw := bufio.NewWriterSize(nil, meshBufSize)
+	var (
+		f     Frame
+		retry bool // f was not written on the last connection
+	)
+	for {
+		if conn == nil {
+			if conn, gen = t.redial(p); conn == nil {
+				return
+			}
+		}
+		bw.Reset(conn)
 		for {
-			var f Frame
-			if len(pending) > 0 {
-				f = pending[0]
-				pending = pending[1:]
-			} else {
+			if !retry {
 				select {
 				case f = <-p.ch:
 				case <-t.done:
-					bw.Flush()
 					conn.Close()
 					return
 				}
 			}
-			if err := writeFrame(bw, f); err != nil {
-				// The frame may be half-written; redelivery of a clock-
-				// tagged update is harmless (R_ji,ε dedups by hold), but a
-				// truncated frame dies with the far end's connection, so
-				// requeue this frame for the next conn.
-				pending = append([]Frame{f}, pending...)
-				break connLoop
+			if _, cur := p.target(); cur != gen {
+				retry = true // carry f to the new address
+				break
 			}
-			// Batch whatever else is queued before flushing.
-		drain:
-			for i := 0; i < 256; i++ {
-				select {
-				case nf := <-p.ch:
-					if err := writeFrame(bw, nf); err != nil {
-						pending = append([]Frame{nf}, pending...)
-						break connLoop
-					}
-				default:
-					break drain
-				}
-			}
-			if err := bw.Flush(); err != nil {
-				break connLoop
-			}
-			p.mu.Lock()
-			stale := p.gen != gen
-			p.mu.Unlock()
-			if stale {
-				break connLoop
-			}
-			if meshFlushDelay > 0 && len(p.ch) == 0 {
-				select {
-				case <-time.After(meshFlushDelay):
-				case <-t.done:
-					conn.Close()
-					return
-				}
+			var err error
+			if f, retry, err = writeBatch(bw, p.ch, f); err != nil {
+				break
 			}
 		}
 		conn.Close()
+		conn = nil
+	}
+}
+
+// writeBatch encodes f and every frame already queued behind it, then
+// flushes: one write syscall per batch under pipelined load (bufio
+// flushes by itself if a batch outgrows its buffer). If a frame fails to
+// encode, the connection is gone; that frame comes back with retry set.
+func writeBatch(bw *bufio.Writer, ch <-chan Frame, f Frame) (Frame, bool, error) {
+	for {
+		if err := writeFrame(bw, f); err != nil {
+			return f, true, err
+		}
 		select {
-		case <-t.done:
-			return
+		case f = <-ch:
 		default:
+			return Frame{}, false, bw.Flush()
 		}
 	}
 }

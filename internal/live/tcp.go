@@ -1,322 +1,72 @@
 package live
 
-import (
-	"bufio"
-	"fmt"
-	"net"
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "fmt"
 
-// TCPTransport carries frames over loopback TCP: one listener per node
-// and one eagerly dialed connection per ordered pair of distinct nodes,
-// each a stream of varint-encoded frames (see appendFrame). Message
-// bodies cross through the codecs their packages register
-// (register/wire.go, detector/wire.go); Send rejects a body type with
-// none.
-//
-// Frames a node sends itself (§6.1's broadcast includes the sender) never
-// touch a socket: each node's self pair is a queue drained by a delivery
-// goroutine that calls the same deliver callback, so n nodes dial
-// n(n−1) connections, not n².
-//
-// All logical register channels between a node pair multiplex the pair's
-// single connection — Frame.Chan distinguishes them — so R register
-// instances cost the same number of sockets as one.
-//
-// Connections are dialed up front in Start, not lazily at first send:
-// dial plus handshake takes hundreds of microseconds on loopback, and a
-// lazy dial charges that setup to the first message's [d1, d2] delay
-// measurement (the seed run's two delay_violations were exactly this).
-//
-// Sends never block on the socket: each pair connection has a writer
-// goroutine fed by a buffered queue. The writer coalesces every queued
-// frame into its buffered stream per wakeup — writev-style batching — so
-// under pipelined load the per-frame syscall cost amortizes away.
+// TCPTransport hosts an n-node cluster in one process over loopback TCP:
+// one MeshTransport per node, each told every other member's address
+// before Start, so Start dials all n(n−1) links before any frame exists
+// to be charged for the handshake. Send routes a frame to its sender's
+// member.
 type TCPTransport struct {
-	n     int
-	addrs []string
-	lns   []net.Listener
-
-	// peers is indexed from·n + to: one writer per ordered pair of
-	// distinct nodes, one self-delivery queue per node.
-	peers []*tcpPeer
-
-	// dials counts the connections Start opened.
-	dials      int
-	reconnects atomic.Int64
-
-	mu      sync.Mutex
-	started bool
-	closed  atomic.Bool
-
-	done chan struct{}
-	wg   sync.WaitGroup
+	members []*MeshTransport
 }
-
-type tcpPeer struct {
-	to int
-	ch chan Frame
-}
-
-// tcpQueueDepth bounds each pair connection's outbound queue. Closed-loop
-// workloads keep at most a few frames per link in flight; pipelined
-// workloads keep roughly one frame per in-flight operation, so the depth
-// is sized to the deepest pipelines pscserve drives before Send starts
-// reporting overload.
-const tcpQueueDepth = 8192
 
 var _ Transport = (*TCPTransport)(nil)
 
 // NewTCPTransport opens n loopback listeners on ephemeral ports, one per
-// node, and returns the transport. Addrs exposes the listen addresses.
+// node, and wires every member to the others.
 func NewTCPTransport(n int) (*TCPTransport, error) {
-	t := &TCPTransport{
-		n:     n,
-		addrs: make([]string, n),
-		lns:   make([]net.Listener, n),
-		peers: make([]*tcpPeer, n*n),
-		done:  make(chan struct{}),
-	}
+	t := &TCPTransport{members: make([]*MeshTransport, 0, n)}
 	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		m, err := NewMeshTransport(i, n, "")
 		if err != nil {
 			t.Close()
 			return nil, fmt.Errorf("live: listen for node %d: %w", i, err)
 		}
-		t.lns[i] = ln
-		t.addrs[i] = ln.Addr().String()
+		t.members = append(t.members, m)
+	}
+	for _, m := range t.members {
+		for j, peer := range t.members {
+			m.SetPeer(j, peer.Addr())
+		}
 	}
 	return t, nil
 }
 
-// Addrs returns the per-node listen addresses.
-func (t *TCPTransport) Addrs() []string {
-	out := make([]string, len(t.addrs))
-	copy(out, t.addrs)
-	return out
-}
-
-// Start implements Transport: dial every pair connection, start the
-// self-delivery loops, then begin accepting inbound connections and
-// decoding frames to the delivery callback.
+// Start implements Transport: start every member, dialing its links. A
+// failed Start leaves cleanup to Close.
 func (t *TCPTransport) Start(deliver func(Frame)) error {
-	t.mu.Lock()
-	if t.started {
-		t.mu.Unlock()
-		return fmt.Errorf("live: transport already started")
-	}
-	t.started = true
-	t.mu.Unlock()
-	for _, ln := range t.lns {
-		ln := ln
-		t.wg.Add(1)
-		go func() {
-			defer t.wg.Done()
-			for {
-				conn, err := ln.Accept()
-				if err != nil {
-					return // listener closed
-				}
-				t.wg.Add(1)
-				go func() {
-					defer t.wg.Done()
-					defer conn.Close()
-					t.readLoop(conn, deliver)
-				}()
-			}
-		}()
-	}
-	// Eager full-mesh dial: connection setup happens here, before any
-	// frame exists to be charged for it.
-	for from := 0; from < t.n; from++ {
-		for to := 0; to < t.n; to++ {
-			p := &tcpPeer{to: to, ch: make(chan Frame, tcpQueueDepth)}
-			t.peers[from*t.n+to] = p
-			t.wg.Add(1)
-			if from == to {
-				go t.selfLoop(p, deliver)
-				continue
-			}
-			conn, err := net.Dial("tcp", t.addrs[to])
-			if err != nil {
-				t.wg.Done()
-				t.Close()
-				return fmt.Errorf("live: dial %d→%d: %w", from, to, err)
-			}
-			t.dials++
-			go t.writeLoop(p, conn)
+	for _, m := range t.members {
+		if err := m.Start(deliver); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// readLoop decodes one connection's frames until EOF or shutdown.
-func (t *TCPTransport) readLoop(conn net.Conn, deliver func(Frame)) {
-	br := bufio.NewReaderSize(conn, 32<<10)
-	for {
-		f, err := readFrame(br)
-		if err != nil {
-			return
-		}
-		if t.closed.Load() {
-			return
-		}
-		deliver(f)
-	}
-}
-
-// selfLoop delivers one node's frames to itself, in send order, until
-// shutdown.
-func (t *TCPTransport) selfLoop(p *tcpPeer, deliver func(Frame)) {
-	defer t.wg.Done()
-	for {
-		select {
-		case f := <-p.ch:
-			if t.closed.Load() {
-				return
-			}
-			deliver(f)
-		case <-t.done:
-			return
-		}
-	}
-}
-
-// Send implements Transport: enqueue the frame on its pair's writer, or
-// on the sender's self-delivery queue.
+// Send implements Transport.
 func (t *TCPTransport) Send(f Frame) error {
-	if t.closed.Load() {
-		return fmt.Errorf("live: send on closed transport")
+	if int(f.From) < 0 || int(f.From) >= len(t.members) {
+		return fmt.Errorf("live: send from unknown node %v", f.From)
 	}
-	if int(f.From) < 0 || int(f.From) >= t.n || int(f.To) < 0 || int(f.To) >= t.n {
-		return fmt.Errorf("live: send on unknown pair %v→%v", f.From, f.To)
-	}
-	if _, err := bodyCodec(f.Body); err != nil {
-		return err
-	}
-	p := t.peers[int(f.From)*t.n+int(f.To)]
-	if p == nil {
-		return fmt.Errorf("live: send before transport start")
-	}
-	select {
-	case p.ch <- f:
-		return nil
-	case <-t.done:
-		return fmt.Errorf("live: send on closing transport")
-	default:
-		return fmt.Errorf("live: outbound queue %v→%v full", f.From, f.To)
-	}
+	return t.members[f.From].Send(f)
 }
 
-// writeLoop coalesces queued frames into batched writes on one pair
-// connection until shutdown.
-func (t *TCPTransport) writeLoop(p *tcpPeer, conn net.Conn) {
-	defer t.wg.Done()
-	// conn is reassigned on reconnect; close whichever is current on exit.
-	defer func() {
-		if conn != nil {
-			conn.Close()
-		}
-	}()
-	bw := bufio.NewWriterSize(conn, 32<<10)
-	for {
-		// Block for the batch's first frame.
-		var f Frame
-		select {
-		case f = <-p.ch:
-		case <-t.done:
-			return
-		}
-		err := writeFrame(bw, f)
-		// Opportunistic drain: everything already queued joins the batch
-		// (bufio flushes itself if a batch outgrows its buffer).
-		err = t.drainInto(bw, p, err)
-		if err == nil {
-			err = bw.Flush()
-		}
-		if err != nil {
-			// Connection gone. The erroring frame is lost (possibly
-			// half-written, and the far reader drops the partial frame with
-			// its connection), but the link is not: redial with bounded
-			// exponential backoff and resume on the fresh connection. A lost
-			// register update is indistinguishable from a message the model
-			// never delivered on time — the online checker, not the
-			// transport, judges whether the run survived.
-			conn.Close()
-			conn = t.redial(p)
-			if conn == nil {
-				return // shutting down
-			}
-			t.reconnects.Add(1)
-			bw.Reset(conn)
-		}
+// Reconnects returns the members' link re-dials after dial or write
+// failures — counted in the live report rather than failing the run.
+func (t *TCPTransport) Reconnects() int64 {
+	var sum int64
+	for _, m := range t.members {
+		sum += m.Reconnects()
 	}
-}
-
-// redial reconnects one pair's writer with bounded exponential backoff
-// (10ms doubling to 640ms), returning nil when the transport closes
-// first.
-func (t *TCPTransport) redial(p *tcpPeer) net.Conn {
-	backoff := 10 * time.Millisecond
-	const maxBackoff = 640 * time.Millisecond
-	for {
-		select {
-		case <-t.done:
-			return nil
-		default:
-		}
-		conn, err := net.DialTimeout("tcp", t.addrs[p.to], time.Second)
-		if err == nil {
-			return conn
-		}
-		select {
-		case <-t.done:
-			return nil
-		case <-time.After(backoff):
-		}
-		if backoff *= 2; backoff > maxBackoff {
-			backoff = maxBackoff
-		}
-	}
-}
-
-// Reconnects returns the number of successful writer re-dials after
-// dial/write failures — counted in the live report rather than failing
-// the run.
-func (t *TCPTransport) Reconnects() int64 { return t.reconnects.Load() }
-
-// drainInto encodes every immediately available queued frame onto the
-// stream; a sticky error short-circuits.
-func (t *TCPTransport) drainInto(bw *bufio.Writer, p *tcpPeer, err error) error {
-	for err == nil {
-		select {
-		case f := <-p.ch:
-			err = writeFrame(bw, f)
-		default:
-			return nil
-		}
-	}
-	return err
+	return sum
 }
 
 // Close implements Transport.
 func (t *TCPTransport) Close() error {
-	t.mu.Lock()
-	if t.closed.Load() {
-		t.mu.Unlock()
-		return nil
+	for _, m := range t.members {
+		m.Close()
 	}
-	t.closed.Store(true)
-	close(t.done)
-	t.mu.Unlock()
-	for _, ln := range t.lns {
-		if ln != nil {
-			ln.Close()
-		}
-	}
-	t.wg.Wait()
 	return nil
 }
 

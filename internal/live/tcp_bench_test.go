@@ -10,7 +10,7 @@ import (
 )
 
 // Codec micro-benchmarks and allocation pins for the two varint wire
-// formats: the peer frame codec both TCP transports share (appendFrame /
+// formats: the peer frame codec MeshTransport's links carry (appendFrame /
 // readFrame) and the client↔server request/response codec. Both encode
 // into caller-owned scratch and decode from a persistent bufio.Reader, so
 // the steady state allocates nothing beyond the decoded frame's boxed

@@ -29,15 +29,15 @@ type Frame struct {
 	Body      any
 }
 
-// Peer frames cross TCP links (TCPTransport, MeshTransport) in a
+// Peer frames cross MeshTransport's TCP links in a
 // hand-rolled varint format, as the client wire does (server.go): the
 // header fields From, To, Chan, SentClock and SentReal as signed varints,
 // then the body's tag byte and the body's own fields from the codec its
 // package registered with core.RegisterBody. Every field is
 // self-delimiting, so frames need no length prefix.
 
-// bodyCodec returns the codec for a frame body, or the error both TCP
-// transports' Send return for a body type nothing registered.
+// bodyCodec returns the codec for a frame body, or the error
+// MeshTransport.Send returns for a body type nothing registered.
 func bodyCodec(body any) (*core.BodyCodec, error) {
 	c, ok := core.BodyCodecOf(body)
 	if !ok {
