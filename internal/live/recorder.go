@@ -13,13 +13,16 @@ import (
 
 // recorder serializes the runtime's observable events into the exec.Sink
 // contract. The simulator gets the contract's ordering for free from its
-// single dispatch loop; here events originate on many goroutines — node
-// loops emitting responses, server port workers emitting invocations —
-// and at 10^4+ ops/s a single mutex-guarded queue would serialize every
-// producer through one cache line. Instead each registered producer owns
-// a lock-free SPSC ring (power-of-two, free-running head/tail counters,
-// the linearize.Sharded hand-off idiom) and a single consumer goroutine
-// merges the rings into one stream in canonical stamp order.
+// single dispatch loop; here events originate on every hosted node's
+// goroutine — each node loop records both the invocations it admits and
+// the responses its algorithms emit — and at 10^4+ ops/s a single
+// mutex-guarded queue would serialize every node through one cache line.
+// Instead each node loop owns a lock-free SPSC ring (power-of-two,
+// free-running head/tail counters, the linearize.Sharded hand-off idiom)
+// and a single consumer goroutine merges the rings into one stream in
+// canonical stamp order. An invocation is recorded at admission, on the
+// same ring as its response, so the two can never be observed out of
+// order.
 //
 // The merge is made sound by a per-ring stamp floor: before reading the
 // clock for an event's stamp, the producer publishes a "busy" flag
@@ -59,12 +62,6 @@ type recorder struct {
 	rings   []*eventRing
 	started bool
 
-	// fallbackMu serializes Runtime.Invoke-style callers that have no
-	// dedicated producer: the stamp is taken and the event pushed under
-	// the lock, the pre-sharding recorder's sequential discipline.
-	fallbackMu sync.Mutex
-	fallback   *producer
-
 	closed atomic.Bool
 	drops  atomic.Int64
 
@@ -79,34 +76,27 @@ type recorder struct {
 // rarely enough to stay off the hot path.
 const flushEvery = 128
 
-// Ring depths are the backpressure margin before a producer parks behind
-// a stalled consumer, and they are sized for the checker, not the
-// producers: on a single-core host a verification burst can stall the
+// nodeRingDepth is the backpressure margin before a node loop parks
+// behind a stalled consumer, and it is sized for the checker, not the
+// producer: on a single-core host a verification burst can stall the
 // consumer for tens of milliseconds, and a parked node loop misses timer
-// deadlines — turning checker lag into measured delay violations. Node
-// loops carry the full output event rate, so their rings cover roughly a
-// second of it; port workers each carry one port's invocation rate
-// (total/(nodes·registers)), so theirs are shallow — the rings are live,
-// pointer-bearing heap that every GC cycle rescans, and hundreds of
-// deep rings would dominate mark time.
-const (
-	nodeRingDepth     = 1 << 13
-	portRingDepth     = 1 << 8
-	fallbackRingDepth = 1 << 10
-)
+// deadlines — turning checker lag into measured delay violations. A node
+// loop carries its node's whole invocation and response rate, so its ring
+// covers roughly a second of it. There is one ring per hosted node, never
+// per register: the rings are live, pointer-bearing heap that every GC
+// cycle rescans.
+const nodeRingDepth = 1 << 13
 
 func newRecorder() *recorder {
-	r := &recorder{
+	return &recorder{
 		wake: make(chan struct{}, 1),
 		done: make(chan struct{}),
 	}
-	r.fallback = r.producer(fallbackRingDepth)
-	return r
 }
 
 // producer registers a new producer ring. All producers must be
-// registered before start (NewServer runs before Runtime.Start, which is
-// what the "install hooks before Start" contract already requires).
+// registered before start (Runtime.Start registers one per node loop
+// before starting the consumer).
 func (r *recorder) producer(depth int) *producer {
 	rg := newEventRing(depth)
 	r.mu.Lock()
@@ -127,15 +117,6 @@ func (r *recorder) start(epoch time.Time, sinks []exec.Sink) {
 	r.started = true
 	r.mu.Unlock()
 	go r.run()
-}
-
-// record stamps and enqueues an event through the shared fallback
-// producer; safe for concurrent use from any goroutine. Dedicated
-// producers (node loops, server port workers) bypass this lock entirely.
-func (r *recorder) record(a ta.Action, src string) {
-	r.fallbackMu.Lock()
-	r.fallback.record(a, src)
-	r.fallbackMu.Unlock()
 }
 
 // signal wakes the consumer if it is parked.
@@ -222,6 +203,11 @@ func (r *recorder) run() {
 	// (quiesced load, partitioned link) would stall the plane's k-way
 	// merge behind its last event.
 	const idleFlushQuantum = simtime.Millisecond
+	// One reusable idle timer, stopped and drained before every Reset
+	// like node.loop's: under live load the consumer idles about once per
+	// event, and a fresh time.After each pass is a timer and a channel.
+	idle := time.NewTimer(time.Hour)
+	idle.Stop()
 	for {
 		// Consumer clock first, then the per-ring states: any producer
 		// observed idle after this reading can only stamp at or after it.
@@ -321,9 +307,16 @@ func (r *recorder) run() {
 			}
 			lastFlushed = bound
 		}
+		idle.Reset(5 * time.Millisecond)
 		select {
 		case <-r.wake:
-		case <-time.After(5 * time.Millisecond):
+			if !idle.Stop() {
+				select {
+				case <-idle.C:
+				default:
+				}
+			}
+		case <-idle.C:
 			// Periodic re-check so a missed wake can only stall the
 			// merge briefly, never forever.
 		}

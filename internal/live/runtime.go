@@ -10,6 +10,7 @@ import (
 	"psclock/internal/clock"
 	"psclock/internal/core"
 	"psclock/internal/exec"
+	"psclock/internal/register"
 	"psclock/internal/simtime"
 	"psclock/internal/ta"
 )
@@ -102,7 +103,9 @@ type Measured struct {
 // both worlds). Messages are tagged with the sender's clock and held at
 // the receiver until its clock reaches the tag — the send/receive buffers
 // S_ij,ε and R_ji,ε of Figure 2, realized on real time, per logical
-// channel.
+// channel. The node loop also enforces §6.1's alternation condition: it
+// admits one environment invocation per (node, register) port at a time
+// and queues the rest until the open one's RETURN or ACK.
 type Runtime struct {
 	opts       Options
 	factory    core.AlgorithmFactory
@@ -200,14 +203,10 @@ func (rt *Runtime) AddSink(s exec.Sink) { rt.sinks = append(rt.sinks, s) }
 // recorded, from the emitting node's goroutine, with the register instance
 // that produced it. The callback must not block and must not synchronously
 // re-enter Invoke for the same node (hand the response to another
-// goroutine; see Server and LoadGen). Must be called before Start.
+// goroutine). Must be called before Start.
 func (rt *Runtime) OnOutput(fn func(node ta.NodeID, reg int, name string, payload any)) {
 	rt.onOutput = fn
 }
-
-// producer registers a dedicated recorder ring for a single-goroutine
-// event source (a server port worker). Must be called before Start.
-func (rt *Runtime) producer() *producer { return rt.rec.producer(portRingDepth) }
 
 // SetRegisterFactory installs a per-register-instance algorithm factory,
 // overriding the uniform one for instances it covers: register instance
@@ -250,6 +249,7 @@ func (rt *Runtime) Start() error {
 			clk:   clk,
 			inbox: make(chan nodeMsg, rt.opts.InboxDepth),
 			prod:  rt.rec.producer(nodeRingDepth),
+			ports: make([]port, r),
 		}
 		for reg := 0; reg < r; reg++ {
 			f := rt.factory
@@ -278,21 +278,22 @@ func (rt *Runtime) Start() error {
 }
 
 // Invoke injects an environment invocation at register instance 0 of the
-// given node, recording it at ingress — the instant the external observer
-// of the §6.1 conditions sees it. Safe for concurrent use.
+// given node. The node admits it to its port like any client request —
+// after the port's earlier operations have answered — and records it at
+// admission, the instant the algorithm sees it; the response is recorded
+// and handed to OnOutput, nowhere else. Safe for concurrent use.
 func (rt *Runtime) Invoke(nodeID ta.NodeID, name string, payload any) error {
-	return rt.invoke(nil, nodeID, 0, name, payload)
+	return rt.invoke(nodeID, 0, invocation{name: name, payload: payload})
 }
 
 // InvokeReg is Invoke aimed at a specific register instance.
 func (rt *Runtime) InvokeReg(nodeID ta.NodeID, reg int, name string, payload any) error {
-	return rt.invoke(nil, nodeID, reg, name, payload)
+	return rt.invoke(nodeID, reg, invocation{name: name, payload: payload})
 }
 
-// invoke records the invocation (through p's dedicated ring when p is
-// non-nil and the caller is its single goroutine; through the recorder's
-// shared locked path otherwise) and enqueues it at the destination node.
-func (rt *Runtime) invoke(p *producer, nodeID ta.NodeID, reg int, name string, payload any) error {
+// invoke enqueues inv at the destination node's inbox; the node records
+// and admits it (see node.admit).
+func (rt *Runtime) invoke(nodeID ta.NodeID, reg int, inv invocation) error {
 	if int(nodeID) < 0 || int(nodeID) >= len(rt.nodes) || rt.nodes[nodeID] == nil {
 		return fmt.Errorf("live: invoke at unknown node %v", nodeID)
 	}
@@ -304,17 +305,8 @@ func (rt *Runtime) invoke(p *producer, nodeID ta.NodeID, reg int, name string, p
 		return fmt.Errorf("live: runtime stopped")
 	default:
 	}
-	a := ta.Action{
-		Name: name, Node: rt.Port(nodeID, reg), Peer: ta.NoNode,
-		Kind: ta.KindInput, Payload: payload,
-	}
-	if p != nil {
-		p.record(a, "env")
-	} else {
-		rt.rec.record(a, "env")
-	}
 	select {
-	case rt.nodes[nodeID].inbox <- nodeMsg{invName: name, invPayload: payload, inv: true, reg: reg}:
+	case rt.nodes[nodeID].inbox <- nodeMsg{inv: inv, isInv: true, reg: reg}:
 		return nil
 	case <-rt.stop:
 		return fmt.Errorf("live: runtime stopped")
@@ -331,8 +323,7 @@ func (rt *Runtime) Clock(i int) Clock {
 }
 
 // Snapshot returns the measured bounds so far without stopping the
-// runtime — the daemon's heartbeat payload. The epsilon and reconnect
-// probes are the same ones Stop runs; everything else reads atomics.
+// runtime — the daemon's heartbeat payload.
 func (rt *Runtime) Snapshot() Measured {
 	rt.mu.Lock()
 	if !rt.started || rt.stopped {
@@ -341,35 +332,12 @@ func (rt *Runtime) Snapshot() Measured {
 		return m
 	}
 	rt.mu.Unlock()
-	m := Measured{
-		TimerLate:       simtime.Duration(rt.timerLate.Load()),
-		DelayMax:        simtime.Duration(rt.delayMax.Load()),
-		DelayViolations: int(rt.delayViols.Load()),
-		Messages:        int(rt.msgs.Load()),
-		Held:            int(rt.held.Load()),
-		RecorderDrops:   int(rt.rec.drops.Load()),
-	}
-	if lo := rt.delayMin.Load(); lo != math.MaxInt64 {
-		m.DelayMin = simtime.Duration(lo)
-	}
-	for _, n := range rt.nodes {
-		if n == nil {
-			continue
-		}
-		if b := n.clk.OffsetBound(); b > m.Eps {
-			m.Eps = b
-		}
-	}
-	if r, ok := rt.transport.(interface{ Reconnects() int64 }); ok {
-		m.Reconnects = int(r.Reconnects())
-	}
-	return m
+	return rt.measure()
 }
 
 // Stop shuts the runtime down — node loops, then transport, then a final
-// sink flush — and returns the measured bounds. Callers that installed
-// event producers (Server) must close them first so the recorder's final
-// drain sees a quiescent stream. Idempotent.
+// sink flush — and returns the measured bounds. Close the Server first so
+// no client invocation races the shutdown. Idempotent.
 func (rt *Runtime) Stop() Measured {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -381,7 +349,13 @@ func (rt *Runtime) Stop() Measured {
 	rt.wg.Wait()
 	rt.transport.Close()
 	rt.rec.flush()
+	rt.measured = rt.measure()
+	return rt.measured
+}
 
+// measure reads the counters, probes every hosted clock's offset bound
+// and the transport's reconnect count.
+func (rt *Runtime) measure() Measured {
 	m := Measured{
 		TimerLate:       simtime.Duration(rt.timerLate.Load()),
 		DelayMax:        simtime.Duration(rt.delayMax.Load()),
@@ -404,7 +378,6 @@ func (rt *Runtime) Stop() Measured {
 	if r, ok := rt.transport.(interface{ Reconnects() int64 }); ok {
 		m.Reconnects = int(r.Reconnects())
 	}
-	rt.measured = m
 	return m
 }
 
@@ -470,13 +443,35 @@ func atomicMax(a *atomic.Int64, v int64) {
 	}
 }
 
-// nodeMsg is one inbox entry: a network frame or an environment invocation.
+// nodeMsg is one inbox entry: a network frame or an environment
+// invocation at register instance reg.
 type nodeMsg struct {
-	frame      Frame
-	inv        bool
-	reg        int
-	invName    string
-	invPayload any
+	frame Frame
+	inv   invocation
+	isInv bool
+	reg   int
+}
+
+// invocation is one environment input and where its response goes: the
+// client connection and request ID it arrived with, or nowhere (to ==
+// nil) for a direct Invoke.
+type invocation struct {
+	name    string
+	payload any
+	to      *svcConn
+	id      uint64
+}
+
+// port is one register instance's admission state at its node: the
+// alternation condition of §6.1 allows one operation in flight per
+// (register, node) port, so invocations that arrive while cur is open
+// wait in FIFO order. A RETURN or ACK output closes cur; an input the
+// algorithm never answers holds the port.
+type port struct {
+	busy bool
+	cur  invocation
+	wait []invocation // wait[head:] are queued
+	head int
 }
 
 // heldFrame is the timer key the receive buffer R_ji,ε uses to postpone a
@@ -504,6 +499,7 @@ type node struct {
 	clk   Clock
 	inbox chan nodeMsg
 	prod  *producer
+	ports []port // per register instance
 
 	timers core.TimerQueue
 
@@ -616,8 +612,12 @@ func (n *node) fireDue() {
 }
 
 func (n *node) handle(m nodeMsg) {
-	if m.inv {
-		n.callback(m.reg, n.clk.Now(), func() { n.algs[m.reg].OnInput(n, m.invName, m.invPayload) })
+	if m.isInv {
+		if p := &n.ports[m.reg]; p.busy {
+			p.wait = append(p.wait, m.inv)
+		} else {
+			n.admit(m.reg, m.inv)
+		}
 		return
 	}
 	f := m.frame
@@ -632,9 +632,48 @@ func (n *node) handle(m nodeMsg) {
 	n.callback(f.Chan, c, func() { n.algs[f.Chan].OnMessage(n, f.From, f.Body) })
 }
 
-// callback runs fn as register instance reg with the context's clock set
-// to t clamped monotone.
+// admit opens inv at register instance reg's idle port: the node records
+// the INPUT through its own ring — the TA model's input action, seen by
+// the algorithm at this instant — and runs OnInput. If OnInput answers at
+// once, the next queued invocation is admitted in the same loop.
+func (n *node) admit(reg int, inv invocation) {
+	p := &n.ports[reg]
+	for {
+		p.busy, p.cur = true, inv
+		n.prod.record(ta.Action{
+			Name: inv.name, Node: n.rt.Port(n.id, reg), Peer: ta.NoNode,
+			Kind: ta.KindInput, Payload: inv.payload,
+		}, "env")
+		n.step(reg, n.clk.Now(), func() { n.algs[reg].OnInput(n, inv.name, inv.payload) })
+		if p.busy || p.head == len(p.wait) {
+			return
+		}
+		inv = p.pop()
+	}
+}
+
+// pop removes the oldest queued invocation; the queue must be non-empty.
+func (p *port) pop() invocation {
+	inv := p.wait[p.head]
+	p.wait[p.head] = invocation{}
+	if p.head++; p.head == len(p.wait) {
+		p.wait, p.head = p.wait[:0], 0
+	}
+	return inv
+}
+
+// callback runs fn as register instance reg, then admits the port's next
+// queued invocation if fn answered the open one.
 func (n *node) callback(reg int, t simtime.Time, fn func()) {
+	n.step(reg, t, fn)
+	if p := &n.ports[reg]; !p.busy && p.head < len(p.wait) {
+		n.admit(reg, p.pop())
+	}
+}
+
+// step runs fn as register instance reg with the context's clock set to t
+// clamped monotone.
+func (n *node) step(reg int, t simtime.Time, fn func()) {
 	if t.Before(n.last) {
 		t = n.last
 	}
@@ -692,6 +731,12 @@ func (n *node) Output(name string, payload any) {
 	}, n.srcs[reg])
 	if n.rt.onOutput != nil {
 		n.rt.onOutput(n.id, reg, name, payload)
+	}
+	if p := &n.ports[reg]; p.busy && (name == register.ActReturn || name == register.ActAck) {
+		if p.cur.to != nil {
+			p.cur.to.reply(p.cur.id, name, payload)
+		}
+		p.busy, p.cur = false, invocation{}
 	}
 }
 

@@ -133,58 +133,50 @@ func readWireResp(br *bufio.Reader) (wireResp, error) {
 
 // Server exposes the live registers over TCP: one listener per node, a
 // varint-framed stream of wireReq/wireResp per connection, any number of
-// register instances behind each node. Each (node, register) port has a worker
-// goroutine that admits one operation at a time — the alternation
-// condition of §6.1, enforced per port, which the monitor checks and the
-// online checker's windows rely on. A connection may pipeline requests
-// across ports freely: requests to different ports proceed concurrently,
-// requests to one port queue on its worker, and responses return on the
-// connection tagged with the request's ID in completion order.
+// register instances behind each node. A connection's reader validates
+// each request and hands it straight to its node; the node enforces the
+// alternation condition of §6.1 — one operation in flight per (node,
+// register) port, later ones queued in arrival order — which the monitor
+// checks and the online checker's windows rely on. A connection may
+// pipeline requests across ports freely: requests to different ports
+// proceed concurrently, and responses return on the connection tagged
+// with the request's ID in completion order.
 //
-// Each port worker owns a dedicated recorder ring (registered before the
-// runtime starts), so the invocation-side recording path is lock-free
-// end to end.
+// Backpressure is per connection: at most connInFlight requests may be
+// admitted and not yet answered on the wire. A client pipelining deeper
+// blocks in its connection reader — TCP backpressure, not an error — and
+// the node loop never waits on a client.
 type Server struct {
 	rt    *Runtime
 	lns   []net.Listener
 	addrs []string
-	ports []*svcPort
 	tiers []register.Tier // per-register tiers; nil means all lin
 
-	done chan struct{}
-	wg   sync.WaitGroup
+	wg sync.WaitGroup
 
 	mu     sync.Mutex
 	conns  map[*svcConn]struct{}
 	closed bool
 }
 
-// svcPort is one (node, register) service port: a queue of admitted
-// requests, the single worker draining it, and the response slot the
-// runtime's output dispatch fills.
-type svcPort struct {
-	node ta.NodeID
-	reg  int
-	reqs chan portReq
-	resp chan wireResp
-	prod *producer
-}
-
-// portReq is one admitted request plus the connection to answer on.
-type portReq struct {
-	id      uint64
-	op      string
-	payload any
-	conn    *svcConn
-}
-
-// svcConn is one client connection's shared state: the response writer
-// queue and the teardown signal both the reader and writer observe.
+// svcConn is one client connection's shared state: the encoded responses
+// the node loops append and the writer drains, the in-flight bound, and
+// the teardown signal both the reader and writer observe.
 type svcConn struct {
-	writeCh chan wireResp
-	done    chan struct{}
-	once    sync.Once
-	conn    net.Conn
+	conn net.Conn
+
+	mu   sync.Mutex
+	out  []byte // encoded responses awaiting the writer
+	nOut int    // responses in out
+	kick chan struct{}
+
+	// slots holds one token per request admitted and not yet written
+	// back: the reader puts before submitting, the writer takes after
+	// the response's Write.
+	slots chan struct{}
+
+	done chan struct{}
+	once sync.Once
 }
 
 func (c *svcConn) close() {
@@ -194,23 +186,36 @@ func (c *svcConn) close() {
 	})
 }
 
-// portQueueDepth bounds the requests admitted but not yet invoked at one
-// port; a client pipelining deeper than this into a single port blocks in
-// its connection reader — TCP backpressure, not an error.
-const portQueueDepth = 256
+// reply appends the response to the connection's buffer and wakes its
+// writer. It runs on the node's goroutine and never blocks on the client.
+func (c *svcConn) reply(id uint64, name string, payload any) {
+	r := wireResp{ID: id, Op: name}
+	if v, ok := payload.(register.Value); ok {
+		r.Val = v
+	}
+	c.mu.Lock()
+	c.out = appendWireResp(c.out, r)
+	c.nOut++
+	c.mu.Unlock()
+	select {
+	case c.kick <- struct{}{}:
+	default:
+	}
+}
 
-// NewServer opens one loopback listener per node and registers the
-// response dispatch on rt. Must be called before rt.Start (it installs
-// the runtime's OnOutput hook and the per-port recorder rings).
+// connInFlight bounds one connection's requests admitted but not yet
+// answered on the wire.
+const connInFlight = 1024
+
+// NewServer opens one loopback listener per hosted node. It may be called
+// before or after rt.Start; the server installs no runtime hooks.
 func NewServer(rt *Runtime) (*Server, error) {
-	n, r := rt.opts.N, rt.opts.Registers
+	n := rt.opts.N
 	s := &Server{
 		rt:    rt,
 		lns:   make([]net.Listener, n),
 		addrs: make([]string, n),
-		ports: make([]*svcPort, n*r),
 		conns: make(map[*svcConn]struct{}),
-		done:  make(chan struct{}),
 	}
 	for i := 0; i < n; i++ {
 		if !rt.hostsNode(i) {
@@ -224,21 +229,6 @@ func NewServer(rt *Runtime) (*Server, error) {
 		s.lns[i] = ln
 		s.addrs[i] = ln.Addr().String()
 	}
-	for reg := 0; reg < r; reg++ {
-		for i := 0; i < n; i++ {
-			if !rt.hostsNode(i) {
-				continue
-			}
-			s.ports[reg*n+i] = &svcPort{
-				node: ta.NodeID(i),
-				reg:  reg,
-				reqs: make(chan portReq, portQueueDepth),
-				resp: make(chan wireResp, 1),
-				prod: rt.producer(),
-			}
-		}
-	}
-	rt.OnOutput(s.dispatch)
 	return s, nil
 }
 
@@ -258,46 +248,8 @@ func (s *Server) Addrs() []string {
 	return out
 }
 
-// dispatch routes register responses to the waiting port worker. It runs
-// on the emitting node's goroutine and must not block: the response slot
-// has capacity one and the port worker guarantees one outstanding
-// operation, so the buffered send always succeeds.
-func (s *Server) dispatch(nodeID ta.NodeID, reg int, name string, payload any) {
-	if name != register.ActReturn && name != register.ActAck {
-		return
-	}
-	r := wireResp{Op: name}
-	if v, ok := payload.(register.Value); ok {
-		r.Val = v
-	}
-	p := s.ports[reg*s.rt.opts.N+int(nodeID)]
-	if p == nil {
-		return // response at a node this process doesn't serve clients for
-	}
-	select {
-	case p.resp <- r:
-		// With no waiter (a direct Invoke bypassed the server) the value
-		// parks in the one-slot buffer; the port worker discards it before
-		// its next invocation.
-	default:
-		// Slot already holds a parked bypass response; drop.
-	}
-}
-
-// Start begins accepting client connections and launches the port
-// workers. Call after rt.Start.
+// Start begins accepting client connections. Call after rt.Start.
 func (s *Server) Start() {
-	for _, p := range s.ports {
-		if p == nil {
-			continue
-		}
-		p := p
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.portLoop(p)
-		}()
-	}
 	for i, ln := range s.lns {
 		if ln == nil {
 			continue
@@ -321,57 +273,15 @@ func (s *Server) Start() {
 	}
 }
 
-// portLoop is a port's worker: admit one request, invoke it (recording
-// through the port's dedicated ring), wait for the register's response,
-// answer the issuing connection. One request in flight per port, always.
-func (s *Server) portLoop(p *svcPort) {
-	for {
-		var req portReq
-		select {
-		case req = <-p.reqs:
-		case <-s.done:
-			return
-		}
-		// Discard a response parked by a direct Invoke that bypassed the
-		// server (e.g. a fleet daemon's amnesia-repair write): its output
-		// landed in the one-slot buffer with no waiter, and answering the
-		// next client request with it would shift every later response one
-		// operation back. Nothing can park here for the request we are
-		// about to invoke — outputs only follow invocations.
-		select {
-		case <-p.resp:
-		default:
-		}
-		if err := s.rt.invoke(p.prod, p.node, p.reg, req.op, req.payload); err != nil {
-			// Runtime shut down beneath us; the connection gets no answer,
-			// which only teardown produces.
-			return
-		}
-		var resp wireResp
-		select {
-		case resp = <-p.resp:
-		case <-s.done:
-			return
-		}
-		resp.ID = req.id
-		select {
-		case req.conn.writeCh <- resp:
-		case <-req.conn.done:
-			// Client left; the operation still completed and was recorded.
-		case <-s.done:
-			return
-		}
-	}
-}
-
 // serve handles one client connection against one node: a reader that
-// validates and routes requests to port queues, and a writer that
-// serializes responses back. Either side's failure tears both down.
+// validates requests and submits them to the node, and a writer that
+// sends the responses back. Either side's failure tears both down.
 func (s *Server) serve(nodeID ta.NodeID, conn net.Conn) {
 	c := &svcConn{
-		writeCh: make(chan wireResp, portQueueDepth),
-		done:    make(chan struct{}),
-		conn:    conn,
+		conn:  conn,
+		kick:  make(chan struct{}, 1),
+		slots: make(chan struct{}, connInFlight),
+		done:  make(chan struct{}),
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -391,32 +301,30 @@ func (s *Server) serve(nodeID ta.NodeID, conn net.Conn) {
 	go func() {
 		defer s.wg.Done()
 		defer c.close()
-		// Responses coalesce: encode everything already queued into one
-		// buffer and write it in a single syscall once the queue
-		// momentarily drains, so a deeply pipelined connection costs one
-		// write per burst rather than one per response.
-		buf := make([]byte, 0, 16<<10)
+		// Responses coalesce: take everything the node loops appended
+		// since the last pass and write it in one syscall, so a deeply
+		// pipelined connection costs one write per burst rather than one
+		// per response.
+		var buf []byte
 		for {
-			var resp wireResp
 			select {
-			case resp = <-c.writeCh:
+			case <-c.kick:
 			case <-c.done:
 				return
-			case <-s.done:
-				return
 			}
-			buf = appendWireResp(buf[:0], resp)
-		drain:
-			for {
-				select {
-				case resp = <-c.writeCh:
-					buf = appendWireResp(buf, resp)
-				default:
-					break drain
-				}
+			c.mu.Lock()
+			buf, c.out = c.out, buf[:0]
+			k := c.nOut
+			c.nOut = 0
+			c.mu.Unlock()
+			if k == 0 {
+				continue
 			}
 			if _, err := conn.Write(buf); err != nil {
 				return
+			}
+			for ; k > 0; k-- {
+				<-c.slots
 			}
 		}
 	}()
@@ -444,16 +352,19 @@ func (s *Server) serve(nodeID ta.NodeID, conn net.Conn) {
 			payload = req.Val
 		}
 		select {
-		case s.ports[req.Reg*s.rt.opts.N+int(nodeID)].reqs <- portReq{id: req.ID, op: req.Op, payload: payload, conn: c}:
-		case <-s.done:
+		case c.slots <- struct{}{}:
+		case <-c.done:
 			return
+		}
+		if s.rt.invoke(nodeID, req.Reg, invocation{name: req.Op, payload: payload, to: c, id: req.ID}) != nil {
+			return // runtime stopped
 		}
 	}
 }
 
-// Close stops accepting and unblocks every port worker and connection.
-// Call before rt.Stop so the server's recorder producers are quiescent
-// when the runtime flushes the recorder.
+// Close stops accepting and tears down every connection. Call before
+// rt.Stop so no reader submits into a stopping runtime. Operations already
+// submitted keep running until rt.Stop; their responses go nowhere.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -461,7 +372,6 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	close(s.done)
 	for c := range s.conns {
 		c.close()
 	}
